@@ -22,6 +22,11 @@
 //! degrades (failed cells in the report) instead of aborting, and both
 //! stay byte-reproducible at any thread count (`docs/ROBUSTNESS.md`).
 //!
+//! Every failed cell is printed to stderr with its reason. A failed
+//! cell without `--fault-plan` (nothing was injected, so the plant or
+//! its certificate is at fault) makes the run exit with status 1 after
+//! the report is written.
+//!
 //! The roster is the five analytic policies plus the committed golden
 //! learned policies (`drl-acc`, `drl-double-integrator`); `--policies
 //! drl:<path>` appends additional weight blobs from disk.
@@ -89,10 +94,20 @@ fn main() {
                     report.cells.len() - stats.cells_from_cache,
                 );
             }
-            if stats.cells_failed > 0 {
+            // Without a fault plan nothing was injected, so a failed cell
+            // is a real fault (an escape from XI without dropout breaks
+            // Theorem 1): the run exits 1 once its outputs are written.
+            let failed = batch::failed_cell_lines(&report);
+            let escaped = !failed.is_empty() && scale.fault_plan.is_none();
+            for line in &failed {
+                eprintln!("{line}");
+            }
+            if escaped {
+                eprintln!("{} cells failed without a fault plan", failed.len());
+            } else if !failed.is_empty() {
                 eprintln!(
                     "{} cells degraded to failed entries under fault injection",
-                    stats.cells_failed,
+                    failed.len()
                 );
             }
             if stats.cells_skipped_incompatible > 0 {
@@ -123,6 +138,9 @@ fn main() {
             }
             if let Err(e) = scale.save_json(&report.to_json(!scale.stream)) {
                 eprintln!("failed to write report: {e}");
+                std::process::exit(1);
+            }
+            if escaped {
                 std::process::exit(1);
             }
         }

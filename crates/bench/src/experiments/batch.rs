@@ -7,8 +7,8 @@
 //! adds a row here.
 
 use oic_engine::{
-    run_batch_opts, BatchConfig, BatchReport, CellCache, DropoutSpec, EngineError, FaultPlan,
-    JsonValue, PolicySpec, ShardInfo, SweepOptions, SweepStats,
+    run_batch_opts, BatchConfig, BatchReport, CellCache, CellOutcome, DropoutSpec, EngineError,
+    FaultPlan, JsonValue, PolicySpec, ShardInfo, SweepOptions, SweepStats,
 };
 use oic_scenarios::ScenarioRegistry;
 
@@ -228,16 +228,34 @@ pub fn wall_clock_line(
     )
 }
 
-/// Renders the sweep as a table plus the Theorem-1 tally.
+/// Renders the sweep as a table plus the Theorem-1 tally: safety
+/// violations and failed cells (a state leaving XI without dropout
+/// fails its cell, so both must be 0 on a fault-free sweep).
 pub fn render(report: &BatchReport) -> String {
     let mut out = String::from("Scenario sweep — all registered plants x standard policies\n");
     out.push_str(&report.render_table());
     out.push_str(&format!(
-        "\ntotal safety violations across {} cells: {} (Theorem 1 demands 0)\n",
+        "\ntotal across {} cells: {} safety violations, {} failed cells (Theorem 1 demands 0 of each)\n",
         report.cells.len(),
-        report.total_safety_violations()
+        report.total_safety_violations(),
+        report.failed_cells()
     ));
     out
+}
+
+/// One stderr line per failed cell, naming the cell and its reason.
+pub fn failed_cell_lines(report: &BatchReport) -> Vec<String> {
+    report
+        .cells
+        .iter()
+        .filter_map(|cell| match &cell.outcome {
+            CellOutcome::Failed { reason } => Some(format!(
+                "failed cell {}/{}@{}: {reason}",
+                cell.scenario, cell.policy, cell.dropout
+            )),
+            CellOutcome::Ok => None,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -465,6 +483,14 @@ mod tests {
             "rate-1.0 plan fails every cell"
         );
         assert!(report.cells.iter().all(|c| c.is_failed()));
+        let lines = failed_cell_lines(&report);
+        assert_eq!(lines.len(), report.cells.len(), "one line per failed cell");
+        assert!(lines[0].starts_with("failed cell acc/always-run@none: "));
+        assert!(lines[0].contains("panicked"), "{}", lines[0]);
+        assert!(render(&report).contains(&format!(
+            "0 safety violations, {} failed cells",
+            report.cells.len()
+        )));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -63,9 +63,9 @@ pub struct ExperimentScale {
     /// `panic_rate`, and `nan_rate` keys, applied per cell hash. The
     /// sweep degrades (failed cells, never aborts) under the plan.
     pub fault_plan: Option<String>,
-    /// Episode-loop implementation (`--kernel lockstep|scalar`; the
-    /// default `Auto` honors `OIC_EPISODE_KERNEL`). Both produce
-    /// byte-identical reports — this is an A/B timing knob.
+    /// Episode-loop implementation (`--kernel lockstep|scalar`, default
+    /// lockstep). Both produce byte-identical reports: the scalar loop is
+    /// the reference oracle.
     pub kernel: oic_engine::KernelChoice,
 }
 
@@ -87,7 +87,7 @@ impl Default for ExperimentScale {
             shard: None,
             dropout: Vec::new(),
             fault_plan: None,
-            kernel: oic_engine::KernelChoice::Auto,
+            kernel: oic_engine::KernelChoice::Lockstep,
         }
     }
 }

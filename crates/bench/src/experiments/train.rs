@@ -16,7 +16,8 @@
 use oic_core::{CoreError, GreedyDrlPolicy, SkipRewardWeights, SkipTrainingEnv};
 use oic_drl::{train, DoubleDqnAgent, DqnConfig, TrainingStats};
 use oic_engine::{
-    episode_seed, run_batch, run_episode, BatchConfig, CellReport, PolicySpec, PreparedPolicy,
+    episode_seed, run_batch_opts, run_episode, BatchConfig, CellReport, PolicySpec, PreparedPolicy,
+    SweepOptions,
 };
 use oic_scenarios::{
     AccScenario, DoubleIntegratorScenario, Scenario, ScenarioInstance, ScenarioRegistry,
@@ -296,9 +297,10 @@ pub fn evaluate_policy(
         seed,
         ..Default::default()
     };
-    let report = run_batch(&registry, &policies, &config).map_err(|e| CoreError::Policy {
-        reason: format!("evaluation sweep failed: {e}"),
-    })?;
+    let (report, _) = run_batch_opts(&registry, &policies, &config, &SweepOptions::default())
+        .map_err(|e| CoreError::Policy {
+            reason: format!("evaluation sweep failed: {e}"),
+        })?;
     let mut analytic = Vec::new();
     let mut drl = None;
     for cell in report.cells {

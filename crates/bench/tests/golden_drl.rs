@@ -7,8 +7,19 @@
 
 use oic_bench::experiments::batch::standard_policies;
 use oic_bench::golden;
-use oic_engine::{run_batch, BatchConfig, PolicySpec};
+use oic_engine::{run_batch_opts, BatchConfig, BatchReport, PolicySpec, SweepOptions};
 use oic_scenarios::{AccScenario, ScenarioRegistry};
+
+/// The plain sweep's report: `run_batch_opts` with default options.
+fn sweep(
+    registry: &ScenarioRegistry,
+    policies: &[PolicySpec],
+    config: &BatchConfig,
+) -> BatchReport {
+    run_batch_opts(registry, policies, config, &SweepOptions::default())
+        .unwrap()
+        .0
+}
 
 fn acc_registry() -> ScenarioRegistry {
     let mut registry = ScenarioRegistry::new();
@@ -35,7 +46,7 @@ fn bench_config() -> BatchConfig {
 fn golden_acc_tally_is_pinned() {
     let mut policies = standard_policies();
     policies.push(PolicySpec::drl("acc", golden::ACC_DQN));
-    let report = run_batch(&acc_registry(), &policies, &bench_config()).unwrap();
+    let report = sweep(&acc_registry(), &policies, &bench_config());
     let drl = report
         .cells
         .iter()
@@ -56,7 +67,7 @@ fn golden_acc_tally_is_pinned() {
 fn golden_acc_beats_every_analytic_policy() {
     let mut policies = standard_policies();
     policies.push(PolicySpec::drl("acc", golden::ACC_DQN));
-    let report = run_batch(&acc_registry(), &policies, &bench_config()).unwrap();
+    let report = sweep(&acc_registry(), &policies, &bench_config());
     let drl = report
         .cells
         .iter()
@@ -84,7 +95,7 @@ fn learned_sweep_is_thread_count_invariant() {
     let mut policies = standard_policies();
     policies.extend(golden::drl_policies(&registry));
     let run = |threads: usize| {
-        run_batch(
+        sweep(
             &registry,
             &policies,
             &BatchConfig {
@@ -96,7 +107,6 @@ fn learned_sweep_is_thread_count_invariant() {
                 ..Default::default()
             },
         )
-        .unwrap()
     };
     let serial = run(1);
     let parallel = run(8);

@@ -22,11 +22,10 @@ use crate::{max_rpi, ConstrainedLti, ControlCache, ControlError, Controller, Inv
 /// the warm-started solver ([`TubeMpc::solve_warm`]) instead of the
 /// bit-stable cold reference path.
 ///
-/// Enabled (read once per process) by `OIC_MPC_WARM=1`/`true`, or
-/// implicitly by forcing the revised LP backend with
-/// `OIC_LP_BACKEND=revised`. Off by default so closed-loop trajectories —
-/// and the committed `BENCH_batch.json` baseline — stay byte-identical to
-/// the pre-template solver; explicit [`TubeMpc::solve_warm`] callers are
+/// Enabled (read once per process) by `OIC_MPC_WARM=1`/`true`. Off by
+/// default so closed-loop trajectories — and the committed
+/// `BENCH_batch.json` baseline — stay byte-identical to the pre-template
+/// solver; explicit [`TubeMpc::solve_warm`] callers are
 /// unaffected by this switch.
 pub fn warm_mpc_enabled() -> bool {
     static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
@@ -34,7 +33,7 @@ pub fn warm_mpc_enabled() -> bool {
         matches!(
             std::env::var("OIC_MPC_WARM").ok().as_deref(),
             Some("1" | "true")
-        ) || oic_lp::forced_backend() == Some(oic_lp::Backend::Revised)
+        )
     })
 }
 
@@ -313,7 +312,12 @@ impl TubeMpcBuilder {
 
         // Terminal set: robust positively invariant under a local feedback,
         // inside X(N) ∩ {x : Kx ∈ U} — this satisfies Proposition 1's
-        // stability premise. The local gain is retained on the controller
+        // stability premise. With the tightening above, the shifted plan
+        // ends one step later and its terminal state absorbs the tail
+        // disturbance M^N W, not W (Chisci–Rossiter–Zappa), so the
+        // terminal set must be invariant against M^N W: against W alone
+        // the feasible set is not robust control invariant. After the
+        // loop `m_pow` is M^N. The local gain is retained on the controller
         // ([`TubeMpc::terminal_gain`]) so callers certifying the terminal
         // loop (e.g. scenario tube certificates) read the gain the MPC
         // actually uses instead of re-deriving it.
@@ -340,12 +344,8 @@ impl TubeMpcBuilder {
                 let constraint = tightened[horizon]
                     .intersection(&input_ok)
                     .remove_redundant();
-                let set = max_rpi(
-                    &a_cl,
-                    self.plant.disturbance_set(),
-                    &constraint,
-                    &InvariantOptions::default(),
-                )?;
+                let tail_w = AffineImage::new(&m_pow, self.plant.disturbance_set());
+                let set = max_rpi(&a_cl, &tail_w, &constraint, &InvariantOptions::default())?;
                 (set, Some(gain))
             }
         };
@@ -1117,14 +1117,12 @@ mod tests {
             x = sys.step(&x, warm_sol.first_input(), &[w_dist, 0.0]);
         }
         assert_eq!(warm.solves(), 15);
-        if oic_lp::forced_backend() != Some(oic_lp::Backend::Tableau) {
-            assert!(
-                warm.warm_hits() >= 13,
-                "warm hits: {} of {}",
-                warm.warm_hits(),
-                warm.solves()
-            );
-        }
+        assert!(
+            warm.warm_hits() >= 13,
+            "warm hits: {} of {}",
+            warm.warm_hits(),
+            warm.solves()
+        );
     }
 
     #[test]
@@ -1143,8 +1141,8 @@ mod tests {
 
     #[test]
     fn control_with_cache_matches_control_by_default() {
-        // Without OIC_MPC_WARM / a forced revised backend the cached entry
-        // point must stay on the bit-stable path.
+        // Without OIC_MPC_WARM the cached entry point must stay on the
+        // bit-stable path.
         let mpc = acc_mpc();
         let mut cache = ControlCache::new();
         let cached = mpc.control_with_cache(&[5.0, 2.0], &mut cache).unwrap();

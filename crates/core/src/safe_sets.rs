@@ -1,6 +1,6 @@
 //! The three nested safe sets of the paper's Fig. 1 and their certificates.
 
-use oic_control::{max_rpi, ConstrainedLti, InvariantOptions, TubeMpc};
+use oic_control::{max_rpi, verify_rci, ConstrainedLti, InvariantOptions, TubeMpc};
 use oic_geom::Polytope;
 
 use crate::CoreError;
@@ -227,9 +227,12 @@ impl SafeSets {
     /// Certifies, with per-facet support LPs (no sampling), the premises of
     /// Theorem 1:
     ///
-    /// 1. `X′ ⊆ XI ⊆ X` (the Fig. 1 nesting), and
-    /// 2. the skip closure: for every `x ∈ X′` and `w ∈ W`,
-    ///    `Ax + B·u_skip + w ∈ XI`.
+    /// 1. `X′ ⊆ XI ⊆ X` (the Fig. 1 nesting);
+    /// 2. the skip branch: for every `x ∈ X′` and `w ∈ W`,
+    ///    `Ax + B·u_skip + w ∈ XI`;
+    /// 3. the run branch: `XI ⊆ Pre_W(XI)`, i.e. from every `x ∈ XI` some
+    ///    `u ∈ U` keeps `Ax + Bu + w` in `XI` for every `w ∈ W` (robust
+    ///    control invariance, via [`verify_rci`]).
     ///
     /// # Errors
     ///
@@ -270,6 +273,11 @@ impl SafeSets {
                     inclusion: "A·X' + B·u_skip + W ⊆ XI",
                 });
             }
+        }
+        if !verify_rci(&self.plant, &self.invariant, tol)? {
+            return Err(CoreError::CertificateFailed {
+                inclusion: "XI ⊆ Pre_W(XI)",
+            });
         }
         Ok(())
     }

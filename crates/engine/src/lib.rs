@@ -5,11 +5,11 @@
 //! fleet-scale throughput over many scenarios. This crate is the layer
 //! that gets there:
 //!
-//! * [`run_batch`] chunks every `(scenario, policy)` cell into
-//!   episode-range tasks and drains them all through one work-stealing
-//!   pool ([`run_work_stealing`]: global injector + per-worker deques,
-//!   pure `std`), one [`IntermittentController`] (Algorithm 1) per
-//!   episode;
+//! * [`run_batch_opts`] — the single sweep entry point — chunks every
+//!   `(scenario, policy)` cell into episode-range tasks and drains them
+//!   all through one work-stealing pool ([`run_work_stealing`]: global
+//!   injector + per-worker deques, pure `std`), one
+//!   [`IntermittentController`] (Algorithm 1) per episode;
 //! * aggregation streams: each chunk folds its episodes into a
 //!   [`CellAccumulator`] (Welford means/variances, saturating safety
 //!   tallies) and chunks merge in deterministic chunk order — memory is
@@ -23,9 +23,9 @@
 //!   writer/parser;
 //! * every cell is a pure function of its canonical spec: [`SweepSpec`]
 //!   pins the canonical wire form, [`cell_hash`] content-addresses each
-//!   `(scenario, policy, dropout)` cell, and [`run_batch_opts`] layers
-//!   the [`CellCache`], shard selection ([`ShardInfo`]), and streaming
-//!   cell callbacks over the same byte-identical results;
+//!   `(scenario, policy, dropout)` cell, and [`SweepOptions`] layers the
+//!   [`CellCache`], shard selection ([`ShardInfo`]), and streaming cell
+//!   callbacks over the same byte-identical results;
 //! * faults degrade, never abort: a panicking worker, a NaN plant
 //!   update, or a diverging trajectory turns its cell into a
 //!   [`CellOutcome::Failed`] report entry while the sweep completes,
@@ -38,13 +38,15 @@
 //! # Examples
 //!
 //! ```
-//! use oic_engine::{run_batch, BatchConfig, PolicySpec};
+//! use oic_engine::{run_batch_opts, BatchConfig, PolicySpec, SweepOptions};
 //! use oic_scenarios::{DoubleIntegratorScenario, ScenarioRegistry};
 //!
 //! let mut registry = ScenarioRegistry::new();
 //! registry.register(Box::new(DoubleIntegratorScenario));
 //! let config = BatchConfig { episodes: 4, steps: 25, ..Default::default() };
-//! let report = run_batch(&registry, &[PolicySpec::BangBang], &config).unwrap();
+//! let (report, _stats) =
+//!     run_batch_opts(&registry, &[PolicySpec::BangBang], &config, &SweepOptions::default())
+//!         .unwrap();
 //! assert_eq!(report.total_safety_violations(), 0); // Theorem 1
 //! println!("{}", report.to_json(false).to_json_pretty());
 //! ```
@@ -66,9 +68,9 @@ pub use json::{JsonParseError, JsonValue};
 pub use oic_faults::{CellFault, DropoutSpec, FaultPlan};
 pub use report::{BatchReport, CellOutcome, CellReport, EpisodeRecord};
 pub use runner::{
-    episode_seed, executed_throughput, run_batch, run_batch_opts, run_batch_with_stats,
-    run_episode, run_episode_opts, BatchConfig, CellTiming, EngineError, EpisodeFaults,
-    ExecutedThroughput, KernelChoice, PolicySpec, PreparedPolicy, SweepOptions, SweepStats,
+    episode_seed, executed_throughput, run_batch_opts, run_episode, run_episode_opts, BatchConfig,
+    CellTiming, EngineError, EpisodeFaults, ExecutedThroughput, KernelChoice, PolicySpec,
+    PreparedPolicy, SweepOptions, SweepStats,
 };
 pub use spec::{
     canonical_policy, cell_hash, cell_hash_canonical, parse_policy, ShardInfo, SweepSpec,

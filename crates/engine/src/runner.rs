@@ -251,8 +251,8 @@ impl PolicySpec {
     ///
     /// Propagates chain-synthesis failures for [`PolicySpec::MaxSkip`]
     /// and decode/dimension failures for [`PolicySpec::Drl`]. Inside
-    /// [`run_batch`] incompatible Drl cells are *skipped* before this is
-    /// called; calling it directly surfaces the mismatch as an error.
+    /// [`run_batch_opts`] incompatible Drl cells are *skipped* before this
+    /// is called; calling it directly surfaces the mismatch as an error.
     pub fn prepare(&self, sets: &SafeSets) -> Result<PreparedPolicy, CoreError> {
         Ok(match self {
             PolicySpec::MaxSkip(budget) => {
@@ -657,28 +657,11 @@ impl CellMerge {
 /// scalar loop's per-episode telemetry spans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelChoice {
-    /// The lockstep kernel, unless `OIC_EPISODE_KERNEL=scalar` is set in
-    /// the environment (the escape hatch for A/B timing and debugging).
+    /// The lockstep kernel.
     #[default]
-    Auto,
-    /// Force the lockstep kernel.
     Lockstep,
-    /// Force the scalar per-episode reference loop.
+    /// The scalar per-episode reference loop.
     Scalar,
-}
-
-impl KernelChoice {
-    /// Resolves the effective choice (consults the environment once per
-    /// sweep, not per chunk).
-    fn lockstep(self) -> bool {
-        match self {
-            KernelChoice::Lockstep => true,
-            KernelChoice::Scalar => false,
-            KernelChoice::Auto => {
-                !matches!(std::env::var("OIC_EPISODE_KERNEL").as_deref(), Ok("scalar"))
-            }
-        }
-    }
 }
 
 /// Optional sweep behaviors layered over the plain batch run: scenario
@@ -742,50 +725,27 @@ impl std::fmt::Debug for SweepOptions<'_> {
     }
 }
 
-/// Runs the full batch: every scenario × every policy × `episodes`
-/// episodes, chunked and drained by one work-stealing pool across all
-/// cells at once.
+/// Runs a sweep: every scenario × every policy (× every dropout
+/// variant) × `episodes` episodes, chunked and drained by one
+/// work-stealing pool across all cells at once. [`SweepOptions`] layers
+/// scenario filtering, sharding, the cell cache and streaming callbacks
+/// over the same byte-identical cells; `SweepOptions::default()` runs
+/// the plain sweep.
+///
+/// Returns the deterministic report plus the sweep's [`SweepStats`]
+/// (scheduler counters, skipped-cell counts, per-cell wall time —
+/// wall-clock diagnostics that deliberately stay out of the report).
 ///
 /// # Errors
 ///
-/// * [`EngineError::InvalidConfig`] on empty configurations.
+/// * [`EngineError::InvalidConfig`] on empty configurations, invalid
+///   shards, and scenario filters naming unregistered scenarios.
 /// * [`EngineError::Episode`] naming a scenario that failed to build or
 ///   a policy that failed to decode/prepare. Per-episode failures do
 ///   **not** error the sweep: the affected cell degrades to a
 ///   [`CellOutcome::Failed`](crate::report::CellOutcome) report entry
 ///   naming the lowest failing `(chunk, episode)` — a deterministic
 ///   choice, because every chunk always runs (see the module docs).
-pub fn run_batch(
-    registry: &ScenarioRegistry,
-    policies: &[PolicySpec],
-    config: &BatchConfig,
-) -> Result<BatchReport, EngineError> {
-    run_batch_with_stats(registry, policies, config).map(|(report, _)| report)
-}
-
-/// [`run_batch`] plus the sweep's [`SweepStats`] (scheduler counters,
-/// skipped-cell counts, per-cell wall time — wall-clock diagnostics that
-/// deliberately stay out of the deterministic report).
-///
-/// # Errors
-///
-/// Same contract as [`run_batch`].
-pub fn run_batch_with_stats(
-    registry: &ScenarioRegistry,
-    policies: &[PolicySpec],
-    config: &BatchConfig,
-) -> Result<(BatchReport, SweepStats), EngineError> {
-    run_batch_opts(registry, policies, config, &SweepOptions::default())
-}
-
-/// [`run_batch_with_stats`] with [`SweepOptions`] — the cell-granular
-/// entry point the serve layer and the sharded/cached bench runs build
-/// on.
-///
-/// # Errors
-///
-/// The [`run_batch`] contract, plus [`EngineError::InvalidConfig`] for
-/// invalid shards and scenario filters naming unregistered scenarios.
 pub fn run_batch_opts(
     registry: &ScenarioRegistry,
     policies: &[PolicySpec],
@@ -1006,7 +966,7 @@ pub fn run_batch_opts(
         }
     }
 
-    let lockstep = opts.kernel.lockstep();
+    let lockstep = opts.kernel == KernelChoice::Lockstep;
     let merges: Vec<Mutex<CellMerge>> = run.iter().map(|_| Mutex::new(CellMerge::new())).collect();
     // Per-cell failure slot: the lowest (chunk, episode) failure of the
     // cell. Every chunk always runs and stops at its *own* first
@@ -1235,6 +1195,16 @@ mod tests {
     use crate::report::CellOutcome;
     use oic_scenarios::DoubleIntegratorScenario;
 
+    /// The plain sweep's report: [`run_batch_opts`] with default options.
+    fn sweep(
+        registry: &ScenarioRegistry,
+        policies: &[PolicySpec],
+        config: &BatchConfig,
+    ) -> Result<BatchReport, EngineError> {
+        run_batch_opts(registry, policies, config, &SweepOptions::default())
+            .map(|(report, _)| report)
+    }
+
     fn tiny_registry() -> ScenarioRegistry {
         let mut registry = ScenarioRegistry::new();
         registry.register(Box::new(DoubleIntegratorScenario));
@@ -1266,8 +1236,8 @@ mod tests {
             threads: 4,
             ..Default::default()
         };
-        let a = run_batch(&registry, &policies, &serial).unwrap();
-        let b = run_batch(&registry, &policies, &parallel).unwrap();
+        let a = sweep(&registry, &policies, &serial).unwrap();
+        let b = sweep(&registry, &policies, &parallel).unwrap();
         assert_eq!(a, b, "thread count must not change results");
         assert_eq!(a.to_json(true).to_json(), b.to_json(true).to_json());
     }
@@ -1285,7 +1255,7 @@ mod tests {
             detail: true,
             ..Default::default()
         };
-        let serial = run_batch(
+        let serial = sweep(
             &registry,
             &policies,
             &BatchConfig {
@@ -1294,8 +1264,7 @@ mod tests {
             },
         )
         .unwrap();
-        let parallel =
-            run_batch(&registry, &policies, &BatchConfig { threads: 8, ..base }).unwrap();
+        let parallel = sweep(&registry, &policies, &BatchConfig { threads: 8, ..base }).unwrap();
         assert_eq!(serial, parallel);
         // Detail survives chunked streaming, in episode order.
         let detail = &serial.cells[0].episodes_detail;
@@ -1349,8 +1318,13 @@ mod tests {
             threads: 4,
             ..Default::default()
         };
-        let (report, stats) =
-            run_batch_with_stats(&registry, &[PolicySpec::BangBang], &config).unwrap();
+        let (report, stats) = run_batch_opts(
+            &registry,
+            &[PolicySpec::BangBang],
+            &config,
+            &SweepOptions::default(),
+        )
+        .unwrap();
         assert_eq!(report.cells[0].episodes, 40);
         assert_eq!(stats.steal.executed, 10, "40 episodes / chunk 4 = 10 tasks");
         assert!(stats.steal.workers >= 1 && stats.steal.workers <= 4);
@@ -1377,7 +1351,8 @@ mod tests {
             steps: 10,
             ..Default::default()
         };
-        let (report, stats) = run_batch_with_stats(&registry, &policies, &config).unwrap();
+        let (report, stats) =
+            run_batch_opts(&registry, &policies, &config, &SweepOptions::default()).unwrap();
         assert_eq!(stats.cells_skipped_incompatible, 1, "cstr × drl-di-only");
         assert_eq!(report.cells.len(), 3);
         assert_eq!(stats.cell_timings.len(), 3);
@@ -1401,17 +1376,17 @@ mod tests {
             detail: true,
             ..Default::default()
         };
-        let a = run_batch(&registry, &policies, &c1).unwrap();
-        let b = run_batch(&registry, &policies, &c2).unwrap();
+        let a = sweep(&registry, &policies, &c1).unwrap();
+        let b = sweep(&registry, &policies, &c2).unwrap();
         assert_ne!(a.cells[0].episodes_detail, b.cells[0].episodes_detail);
     }
 
     #[test]
     fn invalid_configs_are_rejected() {
         let registry = tiny_registry();
-        let err = run_batch(&registry, &[], &BatchConfig::default()).unwrap_err();
+        let err = sweep(&registry, &[], &BatchConfig::default()).unwrap_err();
         assert!(matches!(err, EngineError::InvalidConfig(_)));
-        let err = run_batch(
+        let err = sweep(
             &registry,
             &[PolicySpec::BangBang],
             &BatchConfig {
@@ -1422,7 +1397,7 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, EngineError::InvalidConfig(_)));
         let empty = ScenarioRegistry::new();
-        let err = run_batch(&empty, &[PolicySpec::BangBang], &BatchConfig::default()).unwrap_err();
+        let err = sweep(&empty, &[PolicySpec::BangBang], &BatchConfig::default()).unwrap_err();
         assert!(matches!(err, EngineError::InvalidConfig(_)));
     }
 
@@ -1435,7 +1410,7 @@ mod tests {
             PolicySpec::Periodic(0),
             PolicySpec::MaxSkip(0),
         ] {
-            let err = run_batch(&registry, &[bad], &BatchConfig::default()).unwrap_err();
+            let err = sweep(&registry, &[bad], &BatchConfig::default()).unwrap_err();
             assert!(matches!(err, EngineError::InvalidConfig(_)));
         }
     }
@@ -1449,7 +1424,7 @@ mod tests {
             detail: false,
             ..Default::default()
         };
-        let report = run_batch(&registry, &[PolicySpec::BangBang], &config).unwrap();
+        let report = sweep(&registry, &[PolicySpec::BangBang], &config).unwrap();
         assert!(report.cells[0].episodes_detail.is_empty());
         assert_eq!(report.cells[0].episodes, 3, "aggregates survive the drop");
     }
@@ -1487,7 +1462,7 @@ mod tests {
             steps: 10,
             ..Default::default()
         };
-        let report = run_batch(&registry, &policies, &config).unwrap();
+        let report = sweep(&registry, &policies, &config).unwrap();
         let keys: Vec<&str> = report.cells.iter().map(|c| c.policy.as_str()).collect();
         assert_eq!(keys, ["random-0.3", "random-0.3#2", "random-0.3#3"]);
         // The suffixed copies hash to different episode seeds, so the
@@ -1511,7 +1486,7 @@ mod tests {
             steps: 5,
             ..Default::default()
         };
-        let err = run_batch(&registry, &policies, &config).unwrap_err();
+        let err = sweep(&registry, &policies, &config).unwrap_err();
         assert!(
             matches!(err, EngineError::InvalidConfig(_)),
             "expected InvalidConfig, got {err}"
@@ -1534,7 +1509,7 @@ mod tests {
             steps: 5,
             ..Default::default()
         };
-        let report = run_batch(&registry, &policies, &config).unwrap();
+        let report = sweep(&registry, &policies, &config).unwrap();
         let keys: Vec<&str> = report.cells.iter().map(|c| c.policy.as_str()).collect();
         assert_eq!(keys, ["drl-t", "drl-t#2", "drl-t#3"]);
     }
@@ -1548,7 +1523,7 @@ mod tests {
             PolicySpec::drl("test", test_blob(&[4, 8, 2], 7)),
         ];
         let run = |threads| {
-            run_batch(
+            sweep(
                 &registry,
                 &policies,
                 &BatchConfig {
@@ -1584,7 +1559,7 @@ mod tests {
             PolicySpec::drl("test", test_blob(&[4, 8, 2], 7)),
         ];
         let run = |threads| {
-            run_batch(
+            sweep(
                 &registry,
                 &policies,
                 &BatchConfig {
@@ -1632,7 +1607,7 @@ mod tests {
             steps: 10,
             ..Default::default()
         };
-        let report = run_batch(&registry, &policies, &config).unwrap();
+        let report = sweep(&registry, &policies, &config).unwrap();
         let cells: Vec<(String, String)> = report
             .cells
             .iter()
@@ -1650,7 +1625,7 @@ mod tests {
     fn drl_spec_fitting_no_scenario_is_an_error_not_an_empty_row() {
         // 7 inputs fit no 2-state/2-disturbance plant (7 ≠ 2 + r·2).
         let registry = tiny_registry();
-        let err = run_batch(
+        let err = sweep(
             &registry,
             &[
                 PolicySpec::AlwaysRun,
@@ -1677,7 +1652,7 @@ mod tests {
         let registry = tiny_registry();
         let mut blob = test_blob(&[4, 6, 2], 3);
         blob.truncate(blob.len() - 5);
-        let err = run_batch(
+        let err = sweep(
             &registry,
             &[PolicySpec::drl("broken", blob)],
             &BatchConfig::default(),
@@ -1691,7 +1666,7 @@ mod tests {
             other => panic!("expected decode error, got {other:?}"),
         }
         // An empty blob never reaches decode: validate() rejects it.
-        let err = run_batch(
+        let err = sweep(
             &registry,
             &[PolicySpec::drl("empty", Vec::new())],
             &BatchConfig::default(),

@@ -1,7 +1,5 @@
 //! User-facing linear-program builder with pluggable solve backends.
 
-use std::sync::OnceLock;
-
 use crate::revised::{solve_revised, solve_revised_warm, WarmCarry, WarmOutcome};
 use crate::simplex::{solve_standard, StandardForm, StandardSolution};
 use crate::LpError;
@@ -25,9 +23,8 @@ pub enum Relation {
 /// | `Tableau` | dense tableau | dense tableau every time (warm state ignored) |
 /// | `Revised` | revised two-phase | revised from the carried basis |
 ///
-/// The `OIC_LP_BACKEND` environment variable (`tableau` or `revised`,
-/// read once per process) overrides every program's configured backend —
-/// CI uses it to run the whole suite under each engine.
+/// The backend is a per-program setting
+/// ([`LinearProgram::set_backend`]); nothing overrides it process-wide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// Per-shape selection: the dense tableau for one-shot solves (its
@@ -36,29 +33,15 @@ pub enum Backend {
     /// MPC-shaped (tall) problems.
     #[default]
     Auto,
-    /// Force the dense two-phase tableau everywhere.
+    /// The dense two-phase tableau for every solve.
     Tableau,
-    /// Force the revised (factorized-basis) engine everywhere.
+    /// The revised (factorized-basis) engine for every solve.
     Revised,
 }
 
 /// Minimum row count for `Backend::Auto` to route a warm solve to the
 /// revised engine; below this the tableau's cache behavior wins.
 const AUTO_WARM_MIN_ROWS: usize = 8;
-
-/// The process-wide backend override from `OIC_LP_BACKEND`, if any.
-///
-/// Parsed once (first call) and cached: `"tableau"` and `"revised"` force
-/// the respective engine for every [`LinearProgram`] in the process; any
-/// other value (or an unset variable) leaves per-program selection alone.
-pub fn forced_backend() -> Option<Backend> {
-    static FORCED: OnceLock<Option<Backend>> = OnceLock::new();
-    *FORCED.get_or_init(|| match std::env::var("OIC_LP_BACKEND").ok().as_deref() {
-        Some("tableau") => Some(Backend::Tableau),
-        Some("revised") => Some(Backend::Revised),
-        _ => None,
-    })
-}
 
 /// Basis state carried between [`LinearProgram::solve_warm`] calls.
 ///
@@ -84,9 +67,7 @@ pub fn forced_backend() -> Option<Backend> {
 /// let cold = lp.solve_warm(&mut warm)?; // cold: records the basis
 /// let again = lp.solve_warm(&mut warm)?; // warm: zero-pivot resolve
 /// assert!((cold.objective() - again.objective()).abs() < 1e-9);
-/// if oic_lp::forced_backend() != Some(Backend::Tableau) {
-///     assert!(warm.warm_hits() >= 1);
-/// }
+/// assert!(warm.warm_hits() >= 1);
 /// # Ok(())
 /// # }
 /// ```
@@ -185,13 +166,13 @@ struct Standardized {
 
 /// The shape-stable (unflipped) standard form compiled once per
 /// constraint-matrix fingerprint and cached inside a [`WarmStart`]: across
-/// an RHS/objective-perturbed resolve sequence only the `b` and `c`
-/// vectors are reassembled per solve — the row matrix is shared.
+/// an RHS-perturbed resolve sequence only the `b` and `c` vectors are
+/// reassembled per solve — the row matrix is shared.
 #[derive(Debug, Clone)]
 struct CompiledForm {
     /// The structure revision of the program this form was compiled from;
-    /// cost and RHS mutations deliberately do not advance it (they may
-    /// change freely between warm solves).
+    /// RHS overrides deliberately do not advance it (they may change
+    /// freely between warm solves).
     revision: u64,
     rows: Vec<Vec<f64>>,
     var_map: Vec<VarMap>,
@@ -284,8 +265,8 @@ pub struct LinearProgram {
     upper: Vec<Option<f64>>,
     backend: Backend,
     /// Process-unique structure revision: advanced by every mutation that
-    /// changes the constraint matrix or bound structure (not by RHS or
-    /// cost updates). Guards the compiled form cached in a [`WarmStart`].
+    /// changes the constraint matrix or bound structure (not by RHS
+    /// overrides). Guards the compiled form cached in a [`WarmStart`].
     structure_rev: u64,
 }
 
@@ -367,21 +348,14 @@ impl LinearProgram {
     }
 
     /// Selects the solve backend (default [`Backend::Auto`]).
-    ///
-    /// The `OIC_LP_BACKEND` environment variable overrides this setting
-    /// process-wide; see [`forced_backend`].
     pub fn set_backend(&mut self, backend: Backend) -> &mut Self {
         self.backend = backend;
         self
     }
 
-    /// The configured backend (before any environment override).
+    /// The configured backend.
     pub fn backend(&self) -> Backend {
         self.backend
-    }
-
-    fn effective_backend(&self) -> Backend {
-        forced_backend().unwrap_or(self.backend)
     }
 
     /// Adds a general constraint `coeffs · x REL rhs`.
@@ -421,42 +395,6 @@ impl LinearProgram {
     /// Adds `coeffs · x = rhs`.
     pub fn add_eq(&mut self, coeffs: &[f64], rhs: f64) -> &mut Self {
         self.add_constraint(coeffs, Relation::Eq, rhs)
-    }
-
-    /// Replaces the right-hand side of constraint `i` (in insertion order).
-    ///
-    /// Together with [`solve_warm`](Self::solve_warm) this is the cheap
-    /// path for RHS-perturbed resolve sequences: the constraint matrix is
-    /// left untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range or `rhs` is not finite.
-    pub fn set_rhs(&mut self, i: usize, rhs: f64) -> &mut Self {
-        assert!(i < self.constraints.len(), "constraint index out of range");
-        assert!(rhs.is_finite(), "rhs must be finite");
-        self.constraints[i].rhs = rhs;
-        self
-    }
-
-    /// Replaces the objective coefficients, keeping the orientation the
-    /// program was built with (`costs` is interpreted exactly like the
-    /// constructor argument).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length differs from the variable count or any entry is
-    /// non-finite.
-    pub fn set_objective(&mut self, costs: &[f64]) -> &mut Self {
-        assert_eq!(costs.len(), self.num_vars(), "objective length mismatch");
-        assert!(
-            costs.iter().all(|v| v.is_finite()),
-            "objective entries must be finite"
-        );
-        for (slot, &c) in self.costs.iter_mut().zip(costs) {
-            *slot = if self.maximize { -c } else { c };
-        }
-        self
     }
 
     /// Sets a lower bound `x[i] ≥ bound`.
@@ -726,7 +664,7 @@ impl LinearProgram {
     ) -> Result<(Standardized, StandardSolution), LpError> {
         oic_obs::counter!("lp.solves", "solves").incr();
         let std = self.standardize(rhs_override, true)?;
-        let sol = match self.effective_backend() {
+        let sol = match self.backend {
             Backend::Revised => solve_revised(&std.sf, &std.hints)?,
             Backend::Tableau | Backend::Auto => solve_standard(&std.sf, &std.hints)?,
         };
@@ -825,7 +763,7 @@ impl LinearProgram {
             .filter(|(l, u)| l.is_some() && u.is_some())
             .count();
         let m = self.constraints.len() + both_bounded;
-        let use_revised = match self.effective_backend() {
+        let use_revised = match self.backend {
             Backend::Tableau => false,
             Backend::Revised => true,
             Backend::Auto => m >= AUTO_WARM_MIN_ROWS,
@@ -834,7 +772,7 @@ impl LinearProgram {
         if use_revised {
             // Keep the compiled shape-stable form current (the revision
             // counter detects structural mutation and instance changes;
-            // RHS/cost updates don't recompile).
+            // RHS overrides don't recompile).
             let rev = self.structure_rev;
             if warm.compiled.as_ref().is_none_or(|c| c.revision != rev) {
                 warm.compiled = Some(self.compile(rev)?);
@@ -1073,28 +1011,7 @@ mod tests {
             );
         }
         assert_eq!(warm.solves(), 5);
-        if forced_backend() != Some(Backend::Tableau) {
-            assert!(warm.warm_hits() >= 3, "warm hits: {}", warm.warm_hits());
-        }
-    }
-
-    #[test]
-    fn warm_start_survives_objective_change() {
-        let mut lp = LinearProgram::maximize(&[1.0, 0.0]);
-        lp.set_backend(Backend::Revised);
-        lp.add_le(&[1.0, 1.0], 4.0);
-        lp.add_le(&[1.0, -1.0], 2.0);
-        lp.set_lower_bound(0, 0.0);
-        lp.set_lower_bound(1, 0.0);
-        let mut warm = WarmStart::new();
-        let first = lp.solve_warm(&mut warm).unwrap();
-        assert!((first.objective() - 3.0).abs() < 1e-9);
-        lp.set_objective(&[0.0, 1.0]);
-        let second = lp.solve_warm(&mut warm).unwrap();
-        assert!((second.objective() - 4.0).abs() < 1e-9);
-        if forced_backend() != Some(Backend::Tableau) {
-            assert!(warm.warm_hits() >= 1);
-        }
+        assert!(warm.warm_hits() >= 3, "warm hits: {}", warm.warm_hits());
     }
 
     #[test]
@@ -1105,12 +1022,8 @@ mod tests {
         let mut warm = WarmStart::new();
         let sol = lp.solve_warm(&mut warm).unwrap();
         assert!((sol.objective() - 3.0).abs() < 1e-9);
-        // The no-carry assertions only hold when no env override forces
-        // the revised engine over the configured backend.
-        if forced_backend().is_none() {
-            assert_eq!(warm.warm_hits(), 0);
-            assert!(!warm.has_basis());
-        }
+        assert_eq!(warm.warm_hits(), 0);
+        assert!(!warm.has_basis());
     }
 
     #[test]

@@ -51,6 +51,13 @@ impl LaneKeepingScenario {
             Polytope::from_box(&[-0.005, -0.03], &[0.005, 0.03]),
         )
     }
+
+    /// The tube-MPC configuration `build()` uses.
+    fn mpc_builder(&self) -> TubeMpcBuilder {
+        TubeMpcBuilder::new(self.plant(), self.horizon)
+            .state_weight_vector(vec![1.0, 0.05])
+            .input_weight(0.02)
+    }
 }
 
 impl Scenario for LaneKeepingScenario {
@@ -63,10 +70,7 @@ impl Scenario for LaneKeepingScenario {
     }
 
     fn build(&self) -> Result<ScenarioInstance, CoreError> {
-        let mpc = TubeMpcBuilder::new(self.plant(), self.horizon)
-            .state_weight_vector(vec![1.0, 0.05])
-            .input_weight(0.02)
-            .build()?;
+        let mpc = self.mpc_builder().build()?;
         let sets = SafeSets::for_tube_mpc(&mpc, &SkipInput::Zero)?;
         sets.certify()?;
         // Tube certificate for the MPC's local (terminal) loop — read
@@ -102,12 +106,43 @@ impl Scenario for LaneKeepingScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oic_control::{max_rpi, InvariantOptions};
 
     #[test]
     fn builds_and_certifies() {
         let instance = LaneKeepingScenario::default().build().unwrap();
         instance.sets().certify().unwrap();
         assert!(instance.sets().strengthened().contains(&[0.0, 0.0]));
+    }
+
+    /// With the terminal set invariant against W instead of the tail
+    /// disturbance A^N W (the construction that let paper-scale episodes
+    /// leave XI), the feasible set is not robust control invariant and
+    /// the run-branch certificate must reject it.
+    #[test]
+    fn terminal_set_against_w_fails_the_run_branch_certificate() {
+        let scenario = LaneKeepingScenario::default();
+        let plant = scenario.plant();
+        let fixed = scenario.mpc_builder().build().unwrap();
+        let gain = fixed.terminal_gain().unwrap();
+        let constraint = fixed.tightened_sets()[scenario.horizon]
+            .intersection(&plant.input_set().preimage(gain, &[0.0]));
+        let a_cl = plant.system().closed_loop(gain);
+        let options = InvariantOptions::default();
+        let terminal = max_rpi(&a_cl, plant.disturbance_set(), &constraint, &options).unwrap();
+        let old = scenario
+            .mpc_builder()
+            .terminal_set(terminal)
+            .build()
+            .unwrap();
+        assert!(matches!(
+            SafeSets::for_tube_mpc(&old, &SkipInput::Zero)
+                .unwrap()
+                .certify(),
+            Err(CoreError::CertificateFailed {
+                inclusion: "XI ⊆ Pre_W(XI)"
+            })
+        ));
     }
 
     #[test]

@@ -2,10 +2,21 @@
 //! multiple policies runs in parallel with seed-stable aggregate stats,
 //! zero safety violations, and deterministic JSON output.
 
-use oic::engine::{run_batch, BatchConfig, PolicySpec};
+use oic::engine::{run_batch_opts, BatchConfig, BatchReport, PolicySpec, SweepOptions};
 use oic::scenarios::{
     DoubleIntegratorScenario, OrbitHoldScenario, ScenarioRegistry, ThermalRcScenario,
 };
+
+/// The plain sweep's report: `run_batch_opts` with default options.
+fn sweep(
+    registry: &ScenarioRegistry,
+    policies: &[PolicySpec],
+    config: &BatchConfig,
+) -> BatchReport {
+    run_batch_opts(registry, policies, config, &SweepOptions::default())
+        .unwrap()
+        .0
+}
 
 /// The linear-feedback scenarios: cheap per step, so the batch can be
 /// large even in debug builds.
@@ -33,7 +44,7 @@ fn hundred_episode_batch_is_parallel_deterministic_and_safe() {
         detail: true,
         ..Default::default()
     };
-    let report = run_batch(&registry, &policies, &config).unwrap();
+    let report = sweep(&registry, &policies, &config);
 
     // Shape: every (scenario, policy) cell ran every episode.
     assert_eq!(report.cells.len(), registry.len() * policies.len());
@@ -91,15 +102,14 @@ fn hundred_episode_batch_is_parallel_deterministic_and_safe() {
 
     // Seed-stable: an independent run with a different thread count
     // produces byte-identical JSON.
-    let other = run_batch(
+    let other = sweep(
         &registry,
         &policies,
         &BatchConfig {
             threads: 2,
             ..config.clone()
         },
-    )
-    .unwrap();
+    );
     assert_eq!(report, other);
     assert_eq!(
         report.to_json(true).to_json_pretty(),
@@ -107,15 +117,14 @@ fn hundred_episode_batch_is_parallel_deterministic_and_safe() {
     );
 
     // A different seed produces different trajectories.
-    let reseeded = run_batch(
+    let reseeded = sweep(
         &registry,
         &policies,
         &BatchConfig {
             seed: 1999,
             ..config
         },
-    )
-    .unwrap();
+    );
     assert_ne!(report, reseeded);
 }
 
@@ -131,7 +140,7 @@ fn full_registry_smoke_batch_is_safe() {
         threads: 2,
         ..Default::default()
     };
-    let report = run_batch(&registry, &policies, &config).unwrap();
+    let report = sweep(&registry, &policies, &config);
     assert_eq!(report.cells.len(), 20, "10 scenarios x 2 policies");
     assert_eq!(report.total_safety_violations(), 0);
     let json = report.to_json(false).to_json_pretty();

@@ -11,14 +11,25 @@
 
 use oic::core::RunStats;
 use oic::engine::{
-    run_batch, run_batch_with_stats, BatchConfig, CellAccumulator, CellReport, EpisodeRecord,
-    PolicySpec,
+    run_batch_opts, BatchConfig, BatchReport, CellAccumulator, CellReport, EpisodeRecord,
+    PolicySpec, SweepOptions,
 };
 use oic::scenarios::{
     DcMotorScenario, DoubleIntegratorScenario, PendulumCartScenario, QuadrotorAltScenario,
     ScenarioRegistry,
 };
 use proptest::prelude::*;
+
+/// The plain sweep's report: `run_batch_opts` with default options.
+fn sweep(
+    registry: &ScenarioRegistry,
+    policies: &[PolicySpec],
+    config: &BatchConfig,
+) -> BatchReport {
+    run_batch_opts(registry, policies, config, &SweepOptions::default())
+        .unwrap()
+        .0
+}
 
 fn record(
     episode: usize,
@@ -119,16 +130,15 @@ fn work_stealing_scheduler_is_byte_identical_across_thread_counts() {
         chunk: 5,
         ..Default::default()
     };
-    let serial = run_batch(
+    let serial = sweep(
         &registry,
         &policies,
         &BatchConfig {
             threads: 1,
             ..base.clone()
         },
-    )
-    .unwrap();
-    let parallel = run_batch(&registry, &policies, &BatchConfig { threads: 8, ..base }).unwrap();
+    );
+    let parallel = sweep(&registry, &policies, &BatchConfig { threads: 8, ..base });
     assert_eq!(serial, parallel, "reports must match structurally");
     assert_eq!(
         serial.to_json(true).to_json_pretty(),
@@ -154,8 +164,13 @@ fn hundred_thousand_episode_sweep_streams_without_episode_records() {
         detail: false,
         ..Default::default()
     };
-    let (report, stats) =
-        run_batch_with_stats(&registry, &[PolicySpec::BangBang], &config).unwrap();
+    let (report, stats) = run_batch_opts(
+        &registry,
+        &[PolicySpec::BangBang],
+        &config,
+        &SweepOptions::default(),
+    )
+    .unwrap();
     assert_eq!(report.cells.len(), 1);
     let cell = &report.cells[0];
     assert_eq!(cell.episodes, 100_000);
@@ -200,12 +215,11 @@ fn ten_scenario_registry_certifies_and_sweeps() {
         seed: 2026,
         ..Default::default()
     };
-    let report = run_batch(
+    let report = sweep(
         &fresh,
         &[PolicySpec::BangBang, PolicySpec::MaxSkip(2)],
         &config,
-    )
-    .unwrap();
+    );
     assert_eq!(report.cells.len(), 6);
     assert_eq!(report.total_safety_violations(), 0);
     for cell in &report.cells {
